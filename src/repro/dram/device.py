@@ -149,19 +149,6 @@ class DramDevice:
         """
         self.geometry._check(address)
         bank = self.banks[address.bank_key()]
-        return self.access_mapped(bank, address, now, domain)
-
-    def access_mapped(
-        self,
-        bank: "BankState",
-        address: DdrAddress,
-        now: int,
-        domain: Optional[int] = None,
-    ) -> Tuple[int, List[BitFlip]]:
-        """Hot-path variant of :meth:`access` for mapper-produced
-        addresses: the caller already resolved ``bank``, and the address
-        mapper only emits coordinates that are valid by construction, so
-        the per-request range check is skipped."""
         if bank.open_row != address.row:
             ready = bank.access(address.row, now)
             return ready, self._physical_activate(address, ready, domain)

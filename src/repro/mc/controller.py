@@ -19,7 +19,7 @@ import random
 import time as _time
 from array import array as _array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dram.device import DramDevice
 from repro.dram.disturbance import BitFlip
@@ -165,7 +165,7 @@ class MemoryController:
         self._act_observers: List[ActObserver] = []
         # Parallel to _act_observers: the bulk twin of each observer, or
         # None when the subscriber only handles scalar dispatch (which
-        # forces submit_columnar onto its segmented scalar path).
+        # forces submit_columnar onto its ordered per-request path).
         self._act_observer_bulk: List[Optional[BulkActObserver]] = []
         self.refresh_enabled: bool = True
         # Fault-injection seams (installed by repro.faults.plane): the
@@ -227,8 +227,8 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def enable_profiling(self, profiler: PhaseProfiler) -> None:
-        """Route subsequent requests through the per-phase timed path.
-        Results are identical to the fast path; only wall clocks differ."""
+        """Time subsequent requests per phase.  Results are identical to
+        an unprofiled run; only wall clocks differ."""
         self.profiler = profiler
 
     # ------------------------------------------------------------------
@@ -242,160 +242,22 @@ class MemoryController:
         executed first; ACT counters/observers/gates fire if the request
         activates a row.
         """
-        if self.profiler is not None:
-            return self._submit_profiled(request)
-        time_ns = request.time_ns
-        if self.refresh_enabled and self._next_ref_at <= time_ns:
-            self.advance_to(time_ns)
-        device = self.device
-        address = self.mapper.line_to_ddr(request.physical_line)
-        bank = device.banks[(address.channel, address.rank, address.bank)]
-        open_row = bank.open_row
-        if open_row == address.row:
-            outcome = "hit"
-            will_act = False
-        elif open_row is None:
-            outcome = "miss"
-            will_act = True
+        profiler = self.profiler
+        if profiler is None:
+            address = self.mapper.line_to_ddr(request.physical_line)
         else:
-            outcome = "conflict"
-            will_act = True
-
-        now = time_ns
-        throttled = 0
-        if will_act:
-            for gate in self._act_gates:
-                throttled += gate(address, now, request.domain)
-            if throttled:
-                now += throttled
-                self.stats.throttle_stalls_ns += throttled
-
-        data_at_bank, flips = device.access_mapped(
-            bank, address, now, request.domain
+            t0 = _time.perf_counter()
+            address = self.mapper.line_to_ddr(request.physical_line)
+            profiler.add("translate", _time.perf_counter() - t0)
+        done, outcome, throttled, flips = self._service(
+            address, request.time_ns, request.physical_line,
+            request.is_write, request.domain, request.is_dma,
         )
-        bus = self._bus_busy_until
-        bus_free = bus[address.channel]
-        transfer_start = data_at_bank if data_at_bank > bus_free else bus_free
-        done = transfer_start + device.timings.tBL
-        bus[address.channel] = done
-        if self.page_policy == "closed":
-            bank.precharge(data_at_bank)
-
-        trace = self.trace
-        if trace.enabled:
-            self._trace_access(
-                trace, address, request, outcome, open_row, will_act,
-                throttled, now, flips,
-            )
-        if will_act:
-            self._note_act(
-                address, done, request.physical_line,
-                request.domain, request.is_dma,
-            )
-
-        self._account(request, outcome, done)
         return CompletedRequest(
             request=request,
             address=address,
             ready_at_ns=done,
-            caused_act=will_act,
-            buffer_outcome=outcome,
-            throttled_ns=throttled,
-            flips=flips,
-        )
-
-    def _submit_translated(
-        self, request: MemoryRequest, address: DdrAddress
-    ) -> CompletedRequest:
-        """:meth:`submit` for a request whose address is already known.
-
-        Used by the FR-FCFS scheduler, which bulk-translates its whole
-        window up front.  Result-identical to :meth:`submit`: refresh
-        bursts do not consult or mutate the address mapper, so running
-        the refresh guard after translation instead of before it cannot
-        change the translation.  Callers must fall back to
-        :meth:`submit` when a profiler is attached (this path skips the
-        per-phase timers).
-
-        The bank-hit arithmetic, :meth:`DramDevice.access_mapped`
-        dispatch, and :meth:`_account` bookkeeping are inlined (exactly
-        as :meth:`submit_columnar` inlines them) — this method runs once
-        per scheduled request and the calls it replaces are pure
-        overhead at that frequency."""
-        time_ns = request.time_ns
-        if self.refresh_enabled and self._next_ref_at <= time_ns:
-            self.advance_to(time_ns)
-        device = self.device
-        bank = device.banks[(address.channel, address.rank, address.bank)]
-        stats = self.stats
-        timings = device.timings
-        tBL = timings.tBL
-        row = address.row
-        open_row = bank.open_row
-        now = time_ns
-        throttled = 0
-        if open_row == row:
-            # BankState.access row-hit branch, inlined.
-            outcome = "hit"
-            will_act = False
-            stats.row_hits += 1
-            busy = bank.busy_until
-            start = now if now >= busy else busy
-            bank.row_hits += 1
-            bank.busy_until = start + tBL
-            data_at_bank = start + timings.tCL
-            flips: List[BitFlip] = []
-        else:
-            will_act = True
-            if open_row is None:
-                outcome = "miss"
-                stats.row_misses += 1
-            else:
-                outcome = "conflict"
-                stats.row_conflicts += 1
-            for gate in self._act_gates:
-                throttled += gate(address, now, request.domain)
-            if throttled:
-                now += throttled
-                stats.throttle_stalls_ns += throttled
-            data_at_bank = bank.access(row, now)
-            flips = device._physical_activate(
-                address, data_at_bank, request.domain
-            )
-        bus = self._bus_busy_until
-        bus_free = bus[address.channel]
-        transfer_start = data_at_bank if data_at_bank > bus_free else bus_free
-        done = transfer_start + tBL
-        bus[address.channel] = done
-        if self.page_policy == "closed":
-            bank.precharge(data_at_bank)
-
-        trace = self.trace
-        if trace.enabled:
-            self._trace_access(
-                trace, address, request, outcome, open_row, will_act,
-                throttled, now, flips,
-            )
-        if will_act:
-            self._note_act(
-                address, done, request.physical_line,
-                request.domain, request.is_dma,
-            )
-
-        if request.is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        if request.is_dma:
-            stats.dma_requests += 1
-        stats.total_request_latency_ns += done - time_ns
-        if done > stats.busy_until_ns:
-            stats.busy_until_ns = done
-        return CompletedRequest(
-            request=request,
-            address=address,
-            ready_at_ns=done,
-            caused_act=will_act,
+            caused_act=outcome != "hit",
             buffer_outcome=outcome,
             throttled_ns=throttled,
             flips=flips,
@@ -404,124 +266,106 @@ class MemoryController:
     def submit_batch(
         self, requests: List[MemoryRequest]
     ) -> List[CompletedRequest]:
-        """Service a burst of requests in order.
+        """Service a burst of requests in order — exactly
+        ``[submit(r) for r in requests]``: every request runs the
+        per-request refresh guard and lands its statistics before the
+        next one starts."""
+        submit = self.submit
+        return [submit(request) for request in requests]
 
-        Result-identical to calling :meth:`submit` once per request: the
-        per-request refresh guard is preserved so REF bursts land at
-        exactly the same points.  What the batch amortises is the Python
-        overhead — attribute lookups are hoisted, and the throughput
-        counters accumulate in locals and flush into :attr:`stats` once
-        after the burst (so mid-burst readers of those counters see the
-        pre-burst values; ACT-side effects still fire per request).
-        """
-        if not requests:
-            return []
-        if self.profiler is not None:
-            # The profiled path services per request; the final stats are
-            # identical, only the locals-accumulation trick is skipped.
-            return [self._submit_profiled(request) for request in requests]
+    def _service(
+        self,
+        address: DdrAddress,
+        time_ns: int,
+        line: int,
+        is_write: bool,
+        domain: Optional[int],
+        is_dma: bool,
+    ) -> Tuple[int, str, int, List[BitFlip]]:
+        """The one exact per-request path, for an already-translated
+        request; returns ``(done, outcome, throttled, flips)``.
+
+        :meth:`submit`, :meth:`submit_batch`, the FR-FCFS scheduler and
+        the ordered ``submit_columnar`` fallback all service requests
+        here, so gates, device activation, ACT counters/observers, trace
+        events and statistics land per request in one fixed order.
+        Translating before the refresh guard is safe: REF bursts neither
+        consult nor mutate the address mapper.  With a profiler attached
+        the refresh guard, classification and gates are timed as
+        ``schedule`` and the device/bus work as ``access``."""
+        profiler = self.profiler
+        if profiler is not None:
+            t0 = _time.perf_counter()
+        if self.refresh_enabled and self._next_ref_at <= time_ns:
+            self.advance_to(time_ns)
         device = self.device
-        banks = device.banks
-        tBL = device.timings.tBL
-        line_to_ddr = self.mapper.line_to_ddr
-        bus = self._bus_busy_until
-        gates = self._act_gates
-        closed = self.page_policy == "closed"
-        refresh_enabled = self.refresh_enabled
+        bank = device.banks[(address.channel, address.rank, address.bank)]
         stats = self.stats
-        trace = self.trace
-        tracing = trace.enabled
-
-        reads = writes = dma = hits = misses = conflicts = 0
-        latency_ns = 0
-        busy_until = stats.busy_until_ns
-        completions: List[CompletedRequest] = []
-
-        for request in requests:
-            time_ns = request.time_ns
-            if refresh_enabled and self._next_ref_at <= time_ns:
-                self.advance_to(time_ns)
-            address = line_to_ddr(request.physical_line)
-            bank = banks[(address.channel, address.rank, address.bank)]
-            open_row = bank.open_row
-            if open_row == address.row:
-                outcome = "hit"
-                will_act = False
-            elif open_row is None:
+        timings = device.timings
+        row = address.row
+        open_row = bank.open_row
+        now = time_ns
+        throttled = 0
+        will_act = open_row != row
+        if will_act:
+            if open_row is None:
                 outcome = "miss"
-                will_act = True
+                stats.row_misses += 1
             else:
                 outcome = "conflict"
-                will_act = True
+                stats.row_conflicts += 1
+            for gate in self._act_gates:
+                throttled += gate(address, now, domain)
+            if throttled:
+                now += throttled
+                stats.throttle_stalls_ns += throttled
+        else:
+            outcome = "hit"
+            stats.row_hits += 1
+        if profiler is not None:
+            t1 = _time.perf_counter()
+        if will_act:
+            data_at_bank = bank.access(row, now)
+            flips = device._physical_activate(address, data_at_bank, domain)
+        else:
+            # BankState.access's row-hit branch, inlined: same-row runs
+            # retire at burst rate without entering the device.
+            busy = bank.busy_until
+            start = now if now >= busy else busy
+            bank.row_hits += 1
+            bank.busy_until = start + timings.tBL
+            data_at_bank = start + timings.tCL
+            flips = []
+        bus = self._bus_busy_until
+        bus_free = bus[address.channel]
+        transfer_start = data_at_bank if data_at_bank > bus_free else bus_free
+        done = transfer_start + timings.tBL
+        bus[address.channel] = done
+        if self.page_policy == "closed":
+            bank.precharge(data_at_bank)
+        if profiler is not None:
+            profiler.add("schedule", t1 - t0)
+            profiler.add("access", _time.perf_counter() - t1)
 
-            now = time_ns
-            throttled = 0
-            if will_act and gates:
-                for gate in gates:
-                    throttled += gate(address, now, request.domain)
-                if throttled:
-                    now += throttled
-                    stats.throttle_stalls_ns += throttled
-
-            data_at_bank, flips = device.access_mapped(
-                bank, address, now, request.domain
+        trace = self.trace
+        if trace.enabled:
+            self._trace_access(
+                trace, address, time_ns, line, domain, is_dma, outcome,
+                open_row, throttled, now, flips,
             )
-            bus_free = bus[address.channel]
-            transfer_start = (
-                data_at_bank if data_at_bank > bus_free else bus_free
-            )
-            done = transfer_start + tBL
-            bus[address.channel] = done
-            if closed:
-                bank.precharge(data_at_bank)
+        if will_act:
+            self._note_act(address, done, line, domain, is_dma)
 
-            if tracing:
-                self._trace_access(
-                    trace, address, request, outcome, open_row, will_act,
-                    throttled, now, flips,
-                )
-            if will_act:
-                self._note_act(
-                address, done, request.physical_line,
-                request.domain, request.is_dma,
-            )
-
-            if request.is_write:
-                writes += 1
-            else:
-                reads += 1
-            if request.is_dma:
-                dma += 1
-            if outcome == "hit":
-                hits += 1
-            elif outcome == "miss":
-                misses += 1
-            else:
-                conflicts += 1
-            latency_ns += done - time_ns
-            if done > busy_until:
-                busy_until = done
-            completions.append(
-                CompletedRequest(
-                    request=request,
-                    address=address,
-                    ready_at_ns=done,
-                    caused_act=will_act,
-                    buffer_outcome=outcome,
-                    throttled_ns=throttled,
-                    flips=flips,
-                )
-            )
-
-        stats.reads += reads
-        stats.writes += writes
-        stats.dma_requests += dma
-        stats.row_hits += hits
-        stats.row_misses += misses
-        stats.row_conflicts += conflicts
-        stats.total_request_latency_ns += latency_ns
-        stats.busy_until_ns = busy_until
-        return completions
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        if is_dma:
+            stats.dma_requests += 1
+        stats.total_request_latency_ns += done - time_ns
+        if done > stats.busy_until_ns:
+            stats.busy_until_ns = done
+        return done, outcome, throttled, flips
 
     def submit_columnar(self, batch) -> int:
         """Service a struct-of-arrays burst
@@ -550,8 +394,8 @@ class MemoryController:
         ``disturb_bulk``) instead of forcing a demotion.  When every
         ACT subscriber provides a bulk twin the batch runs on the fully
         vectorized engine (:meth:`_submit_columnar_bulk`); a scalar-only
-        observer routes it through the ordered per-request columnar loop
-        instead — counted in ``mc.columnar_fallbacks`` (total and
+        observer routes it through the ordered per-request loop over
+        :meth:`_service` instead — counted in ``mc.columnar_fallbacks`` (total and
         ``mc.columnar_fallbacks.scalar_observer``) and emitting a
         ``columnar_fallback`` trace event carrying the reason.  (DMA
         never reaches this path: the columnar container refuses DMA
@@ -574,7 +418,22 @@ class MemoryController:
             self._note_columnar_fallback(
                 "scalar_observer", n, batch.issue_ns[0]
             )
-            return self._submit_columnar_scalar(batch, addresses)
+            # Ordered per-request fallback: stateful scalar subscribers
+            # see events in exactly the order the object path delivers.
+            service = self._service
+            write_col = batch.is_write
+            time_col = batch.issue_ns
+            dom_col = batch.domain
+            batch_done = 0
+            for i in range(n):
+                domain = dom_col[i]
+                done = service(
+                    addresses[i], time_col[i], line_col[i], write_col[i],
+                    None if domain < 0 else domain, False,
+                )[0]
+                if done > batch_done:
+                    batch_done = done
+            return batch_done
         return self._submit_columnar_bulk(
             addresses, line_col, batch.is_write, batch.issue_ns,
             batch.domain, n,
@@ -662,146 +521,6 @@ class MemoryController:
                 _ev.COLUMNAR_FALLBACK, time_ns, reason=reason, size=size,
             )
 
-    def _submit_columnar_scalar(self, batch, addresses) -> int:
-        """Ordered per-request columnar loop (the segmented fallback).
-
-        Keeps the columnar container's allocation savings but services
-        each request through the exact scalar sequence — device call,
-        per-ACT counter, per-ACT observers — so stateful subscribers
-        (vendor TRR samplers, scalar-only defense observers) see events
-        in precisely the order the object path would deliver them.
-        When tracing, the per-request events are emitted inline at the
-        same points (and with the same payloads) as
-        :meth:`_trace_access`.
-        """
-        line_col = batch.line
-        n = len(line_col)
-        device = self.device
-        banks = device.banks
-        timings = device.timings
-        tBL = timings.tBL
-        tCL = timings.tCL
-        access_mapped = device.access_mapped
-        bus = self._bus_busy_until
-        gates = self._act_gates
-        closed = self.page_policy == "closed"
-        refresh_enabled = self.refresh_enabled
-        stats = self.stats
-        trace = self.trace
-        tracing = trace.enabled
-        write_col = batch.is_write
-        time_col = batch.issue_ns
-        dom_col = batch.domain
-
-        reads = writes = hits = misses = conflicts = 0
-        latency_ns = 0
-        busy_until = stats.busy_until_ns
-        batch_done = 0
-
-        for i in range(n):
-            time_ns = time_col[i]
-            if refresh_enabled and self._next_ref_at <= time_ns:
-                self.advance_to(time_ns)
-            address = addresses[i]
-            bank = banks[(address.channel, address.rank, address.bank)]
-            open_row = bank.open_row
-            row = address.row
-            if open_row == row:
-                # Inline of BankState.access's hit branch: consecutive
-                # same-row requests to a bank retire at burst rate with
-                # no device call.
-                hits += 1
-                busy = bank.busy_until
-                start = time_ns if time_ns >= busy else busy
-                bank.row_hits += 1
-                bank.busy_until = start + tBL
-                data_at_bank = start + tCL
-                will_act = False
-                domain = None
-            else:
-                will_act = True
-                if open_row is None:
-                    misses += 1
-                else:
-                    conflicts += 1
-                domain = dom_col[i]
-                if domain < 0:
-                    domain = None
-                now = time_ns
-                throttled = 0
-                if gates:
-                    for gate in gates:
-                        throttled += gate(address, now, domain)
-                    if throttled:
-                        now += throttled
-                        stats.throttle_stalls_ns += throttled
-                data_at_bank, flips = access_mapped(
-                    bank, address, now, domain
-                )
-            bus_free = bus[address.channel]
-            transfer_start = (
-                data_at_bank if data_at_bank > bus_free else bus_free
-            )
-            done = transfer_start + tBL
-            bus[address.channel] = done
-            if closed:
-                bank.precharge(data_at_bank)
-            if will_act:
-                if tracing:
-                    # Inline of _trace_access for the columnar request
-                    # shape (hits emit nothing on the scalar path, so
-                    # the hit branch above stays event-free).
-                    trace.emit(
-                        _ev.ACT, now,
-                        channel=address.channel, rank=address.rank,
-                        bank=address.bank, row=row,
-                        line=line_col[i], domain=domain, dma=False,
-                    )
-                    if open_row is not None:
-                        trace.emit(
-                            _ev.ROW_CONFLICT, now,
-                            channel=address.channel, rank=address.rank,
-                            bank=address.bank, row=row,
-                            closed_row=open_row,
-                            line=line_col[i], domain=domain,
-                        )
-                    if throttled:
-                        trace.emit(
-                            _ev.THROTTLE_STALL, time_ns,
-                            channel=address.channel, rank=address.rank,
-                            bank=address.bank, row=row,
-                            stall_ns=throttled, domain=domain,
-                        )
-                    for flip in flips:
-                        trace.emit(
-                            _ev.BIT_FLIP, flip.time_ns,
-                            victim=list(flip.victim),
-                            aggressor=list(flip.aggressor),
-                            aggressor_domain=flip.aggressor_domain,
-                            victim_domains=sorted(flip.victim_domains),
-                            bits=flip.flipped_bits,
-                        )
-                self._note_act(address, done, line_col[i], domain, False)
-
-            if write_col[i]:
-                writes += 1
-            else:
-                reads += 1
-            latency_ns += done - time_ns
-            if done > busy_until:
-                busy_until = done
-            if done > batch_done:
-                batch_done = done
-
-        stats.reads += reads
-        stats.writes += writes
-        stats.row_hits += hits
-        stats.row_misses += misses
-        stats.row_conflicts += conflicts
-        stats.total_request_latency_ns += latency_ns
-        stats.busy_until_ns = busy_until
-        return batch_done
-
     def _submit_columnar_bulk(
         self,
         addresses: List[DdrAddress],
@@ -817,9 +536,9 @@ class MemoryController:
     ) -> int:
         """The fully vectorized columnar engine (tier 3).
 
-        Result-identical to :meth:`_submit_columnar_scalar` (hence to
-        ``submit_batch``), with the per-ACT side effects run in column
-        space:
+        Result-identical to servicing each element through
+        :meth:`_service` (hence to ``submit_batch``), with the per-ACT
+        side effects run in column space:
 
         * disturbance accrual is deferred into address/row/time vectors
           and flushed through :meth:`DisturbanceTracker.on_activate_bulk`
@@ -836,8 +555,7 @@ class MemoryController:
           re-enter the controller (targeted refreshes, uncore moves,
           counter reconfiguration);
         * ``mc.*`` throughput counters and the per-domain ACT histogram
-          accumulate in locals and flush once, exactly like
-          ``submit_batch``'s locals trick.
+          accumulate in locals and flush once at batch end.
 
         In-DRAM mitigations (:attr:`DramDevice.mitigation`) stay inline
         per ACT: their tables are only *read* at refresh bursts, which
@@ -1350,36 +1068,37 @@ class MemoryController:
         self,
         trace: TraceBus,
         address: DdrAddress,
-        request: MemoryRequest,
+        time_ns: int,
+        line: int,
+        domain: Optional[int],
+        is_dma: bool,
         outcome: str,
         open_row: Optional[int],
-        will_act: bool,
         throttled: int,
         now: int,
         flips: List[BitFlip],
     ) -> None:
         """Emit the events of one serviced request (tracing only)."""
-        if will_act:
+        if outcome != "hit":
             trace.emit(
                 _ev.ACT, now,
                 channel=address.channel, rank=address.rank,
                 bank=address.bank, row=address.row,
-                line=request.physical_line, domain=request.domain,
-                dma=request.is_dma,
+                line=line, domain=domain, dma=is_dma,
             )
         if outcome == "conflict":
             trace.emit(
                 _ev.ROW_CONFLICT, now,
                 channel=address.channel, rank=address.rank,
                 bank=address.bank, row=address.row, closed_row=open_row,
-                line=request.physical_line, domain=request.domain,
+                line=line, domain=domain,
             )
         if throttled:
             trace.emit(
-                _ev.THROTTLE_STALL, request.time_ns,
+                _ev.THROTTLE_STALL, time_ns,
                 channel=address.channel, rank=address.rank,
                 bank=address.bank, row=address.row,
-                stall_ns=throttled, domain=request.domain,
+                stall_ns=throttled, domain=domain,
             )
         for flip in flips:
             trace.emit(
@@ -1389,98 +1108,3 @@ class MemoryController:
                 victim_domains=sorted(flip.victim_domains),
                 bits=flip.flipped_bits,
             )
-
-    def _submit_profiled(self, request: MemoryRequest) -> CompletedRequest:
-        """Result-identical twin of :meth:`submit` with per-phase
-        wall-clock accounting (``translate`` / ``schedule`` / ``access``;
-        the oracle's ``disturbance`` sub-span is timed by the wrapper
-        ``System.enable_profiling`` installs on the tracker)."""
-        profiler = self.profiler
-        assert profiler is not None
-        perf = _time.perf_counter
-        time_ns = request.time_ns
-
-        t0 = perf()
-        if self.refresh_enabled and self._next_ref_at <= time_ns:
-            self.advance_to(time_ns)
-        t1 = perf()
-        device = self.device
-        address = self.mapper.line_to_ddr(request.physical_line)
-        t2 = perf()
-        bank = device.banks[(address.channel, address.rank, address.bank)]
-        open_row = bank.open_row
-        if open_row == address.row:
-            outcome = "hit"
-            will_act = False
-        elif open_row is None:
-            outcome = "miss"
-            will_act = True
-        else:
-            outcome = "conflict"
-            will_act = True
-
-        now = time_ns
-        throttled = 0
-        t3 = perf()
-        if will_act:
-            for gate in self._act_gates:
-                throttled += gate(address, now, request.domain)
-            if throttled:
-                now += throttled
-                self.stats.throttle_stalls_ns += throttled
-        t4 = perf()
-
-        data_at_bank, flips = device.access_mapped(
-            bank, address, now, request.domain
-        )
-        bus = self._bus_busy_until
-        bus_free = bus[address.channel]
-        transfer_start = data_at_bank if data_at_bank > bus_free else bus_free
-        done = transfer_start + device.timings.tBL
-        bus[address.channel] = done
-        if self.page_policy == "closed":
-            bank.precharge(data_at_bank)
-        t5 = perf()
-
-        profiler.add("schedule", (t1 - t0) + (t4 - t3))
-        profiler.add("translate", t2 - t1, calls=1)
-        profiler.add("access", t5 - t4)
-
-        trace = self.trace
-        if trace.enabled:
-            self._trace_access(
-                trace, address, request, outcome, open_row, will_act,
-                throttled, now, flips,
-            )
-        if will_act:
-            self._note_act(
-                address, done, request.physical_line,
-                request.domain, request.is_dma,
-            )
-
-        self._account(request, outcome, done)
-        return CompletedRequest(
-            request=request,
-            address=address,
-            ready_at_ns=done,
-            caused_act=will_act,
-            buffer_outcome=outcome,
-            throttled_ns=throttled,
-            flips=flips,
-        )
-
-    def _account(self, request: MemoryRequest, outcome: str, done: int) -> None:
-        if request.is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-        if request.is_dma:
-            self.stats.dma_requests += 1
-        if outcome == "hit":
-            self.stats.row_hits += 1
-        elif outcome == "miss":
-            self.stats.row_misses += 1
-        else:
-            self.stats.row_conflicts += 1
-        self.stats.total_request_latency_ns += done - request.time_ns
-        self.stats.busy_until_ns = max(self.stats.busy_until_ns, done)

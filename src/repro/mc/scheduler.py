@@ -152,9 +152,16 @@ class BatchScheduler:
         # translation happens in arrival order either way — lazy
         # first-touch frame placement lands identically.  Bank open-row
         # state is still read fresh in every round.
-        addresses = controller.mapper.lines_to_ddr_bulk(
-            [request.physical_line for request in pending]
-        )
+        lines = [request.physical_line for request in pending]
+        profiler = controller.profiler
+        if profiler is None:
+            addresses = controller.mapper.lines_to_ddr_bulk(lines)
+        else:
+            p0 = perf_counter()
+            addresses = controller.mapper.lines_to_ddr_bulk(lines)
+            profiler.add(
+                "translate_bulk", perf_counter() - p0, calls=len(lines)
+            )
         # Pre-resolve each request's bank object and row so a scan round
         # is a plain list walk (no per-element tuple construction or dict
         # lookups); the lists are popped in lockstep with ``pending``.
@@ -163,9 +170,7 @@ class BatchScheduler:
             for address in addresses
         ]
         row_list = [address.row for address in addresses]
-        profiled = controller.profiler is not None
-        submit_translated = controller._submit_translated
-        submit = controller.submit
+        service = controller._service
         completed: List[CompletedRequest] = []
         while pending:
             chosen_index = 0
@@ -179,10 +184,21 @@ class BatchScheduler:
             bank_list.pop(chosen_index)
             row_list.pop(chosen_index)
             request = pending.pop(chosen_index)
-            if profiled:
-                completed.append(submit(request))
-            else:
-                completed.append(submit_translated(request, address))
+            done, outcome, throttled, flips = service(
+                address, request.time_ns, request.physical_line,
+                request.is_write, request.domain, request.is_dma,
+            )
+            completed.append(
+                CompletedRequest(
+                    request=request,
+                    address=address,
+                    ready_at_ns=done,
+                    caused_act=outcome != "hit",
+                    buffer_outcome=outcome,
+                    throttled_ns=throttled,
+                    flips=flips,
+                )
+            )
         return completed
 
     def issue_columnar(self, batch) -> int:

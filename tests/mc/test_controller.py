@@ -245,3 +245,32 @@ class TestSubmitBatch:
         controller = self._make_controller(geometry)
         assert controller.submit_batch([]) == []
         assert controller.stats.reads == 0
+
+    def test_stats_current_at_every_act(self, geometry):
+        # An ACT observer sees the same statistics mid-burst under
+        # submit_batch as under per-request submit: no counter lags
+        # until the burst ends.
+        def record_acts(controller):
+            seen = []
+            stats = controller.stats
+
+            def observer(address, time_ns, domain, is_dma):
+                seen.append((
+                    stats.reads + stats.writes,
+                    stats.row_misses + stats.row_conflicts,
+                    stats.busy_until_ns,
+                ))
+
+            controller.add_act_observer(observer)
+            return seen
+
+        serial = self._make_controller(geometry)
+        batched = self._make_controller(geometry)
+        serial_seen = record_acts(serial)
+        batched_seen = record_acts(batched)
+        requests = self._request_mix()
+        for request in requests:
+            serial.submit(request)
+        batched.submit_batch(list(requests))
+        assert serial_seen
+        assert batched_seen == serial_seen

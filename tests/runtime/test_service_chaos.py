@@ -73,21 +73,28 @@ def wait_for(predicate, timeout_s=30.0, interval_s=0.02):
     return False
 
 
+def killing_service(tmp_path):
+    """A service plus a spec whose first pass over seed 102 SIGKILLs the
+    process running it; the retry finds the marker and runs clean."""
+    spec = CrashingSpec(
+        spec=SPEC, crash_seeds=(102,), mode="kill",
+        marker_dir=str(tmp_path / "markers"),
+    )
+    service = CampaignService(
+        tmp_path / "svc", config=ServiceConfig(**FAST),
+        use_cache=False,
+    )
+    return service, spec
+
+
 class TestWorkerSigkill:
     def test_killed_worker_retries_and_resumes_bit_identical(
         self, tmp_path
     ):
-        # kill mode + marker_dir: the worker dies mid-job on its first
-        # pass over seed 102, the retry finds the marker and runs clean
-        spec = CrashingSpec(
-            spec=SPEC, crash_seeds=(102,), mode="kill",
-            marker_dir=str(tmp_path / "markers"),
-        )
-        service = CampaignService(
-            tmp_path / "svc", config=ServiceConfig(**FAST),
-            use_cache=False,
-        )
-        admission = service.submit(spec, SEEDS, experiment="chaos")
+        # jobs=1: the worker runs the seeds in-process, so the kill
+        # takes down the worker itself and the service requeues the job
+        service, spec = killing_service(tmp_path)
+        admission = service.submit(spec, SEEDS, experiment="chaos", jobs=1)
         summary = service.serve(drain_and_exit=True)
         assert summary["done"] == 1
         assert summary["service.jobs_requeued"] >= 1
@@ -97,6 +104,22 @@ class TestWorkerSigkill:
         )
         assert payload["completed"] == len(SEEDS)
         assert payload["resumed"] >= 1  # attempt 2 resumed the journal
+        assert payload["aggregates"] == clean_aggregates(SPEC, SEEDS)
+
+    def test_killed_pool_child_respawns_inside_worker(self, tmp_path):
+        # jobs=2: the seeds run on the worker's pool, so the kill hits a
+        # pool child, which the worker's supervisor respawns in place
+        service, spec = killing_service(tmp_path)
+        admission = service.submit(spec, SEEDS, experiment="chaos", jobs=2)
+        summary = service.serve(drain_and_exit=True)
+        assert summary["done"] == 1
+        assert summary["service.jobs_requeued"] == 0
+        assert summary["service.worker_forks"] == 1
+        payload = json.loads(
+            service.result_path(admission.job_id).read_text()
+        )
+        assert payload["respawns"] == 1
+        assert payload["completed"] == len(SEEDS)
         assert payload["aggregates"] == clean_aggregates(SPEC, SEEDS)
 
 
