@@ -17,7 +17,11 @@ attached — **with tracing and profiling enabled** — then inspect
   ``mc.columnar_fallbacks.profiler`` be nonzero: observability rides
   the bulk path (columnar trace records, ``disturb_bulk`` profiler
   phases), so an attached sink or profiler demoting a batch means the
-  vectorized tracing regressed to the old guard.
+  vectorized tracing regressed to the old guard;
+* under **no** defense may ``interrupt_handler_failures`` be nonzero:
+  the controller counts a host interrupt handler that raised and goes
+  on, so a defense whose handler breaks would otherwise stop defending
+  without failing anything.
 
 Defenses whose primitives the legacy platform lacks are reported as
 skipped (that refusal is itself paper behavior, §4).
@@ -84,7 +88,14 @@ def main() -> int:
             snapshot["columnar_fallbacks.trace"]
             + snapshot["columnar_fallbacks.profiler"]
         )
-        if obs_demotions:
+        handler_failures = system.controller.stats.interrupt_handler_failures
+        if handler_failures:
+            failures.append(
+                f"{defense_cls.name}: {handler_failures} interrupt handler "
+                f"call(s) raised — the defense stopped acting on them"
+            )
+            verdict = "FAIL"
+        elif obs_demotions:
             failures.append(
                 f"{defense_cls.name}: tracing/profiling demoted the bulk "
                 f"path ({obs_demotions} observability fallbacks) — "

@@ -32,9 +32,13 @@ row remap to attribute bit flips.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
-from repro.dram.geometry import DdrAddress
+import numpy as np
+
 from repro.mc.address_map import AddressMapper, SubarrayIsolatedInterleaving
 
 RowKey = Tuple[int, int, int, int]
@@ -68,8 +72,12 @@ class PageAllocator:
         self.policy = policy
         self.guard_radius = guard_radius
         self._owner: Dict[int, int] = {}  # frame -> asid
-        self._free: Set[int] = set(range(mapper.total_frames))
+        # The ordered free index: first-fit is the lowest set entry.
+        self._free = np.ones(mapper.total_frames, dtype=bool)
+        self._domain_frames: Dict[int, int] = {}  # asid -> frames owned
         self._bank_owner: Dict[int, int] = {}  # flat bank -> asid (partition)
+        # (asid, flat bank) -> the asid's allocated frames in the bank
+        self._bank_frames: Dict[Tuple[int, int], int] = {}
         # row_key -> {asid: number of allocated frames with data in the
         # row} — reference counts so free() can retract attribution.
         self._row_domains: Dict[RowKey, Dict[int, int]] = {}
@@ -77,6 +85,9 @@ class PageAllocator:
         # known here; invalidated on free, when subarray mappers may
         # re-place the frame)
         self._frame_rows: Dict[int, FrozenSet[RowKey]] = {}
+        # row_key -> its frames; static mappings never move a frame, so
+        # the answer can be cached for good.
+        self._row_frames: Dict[RowKey, np.ndarray] = {}
         # frames permanently taken out of service (remap audit, §4.1)
         self._retired: Set[int] = set()
         self._validate_policy()
@@ -142,38 +153,21 @@ class PageAllocator:
         return frames
 
     def free(self, frame: int) -> None:
-        asid = self._owner.pop(frame, None)
-        if asid is None:
-            raise KeyError(f"frame {frame} is not allocated")
-        self._free.add(frame)
-        rows = self._rows_of_frame(frame)
+        asid = self._release(frame)
+        self._free[frame] = True
         self._frame_rows.pop(frame, None)
         if isinstance(self.mapper, SubarrayIsolatedInterleaving):
             self.mapper.release_frame(frame)
-        for row in rows:
-            counts = self._row_domains.get(row)
-            if counts is None:
-                continue
-            counts[asid] -= 1
-            if counts[asid] <= 0:
-                del counts[asid]
-            if not counts:
-                del self._row_domains[row]
         if self.policy is AllocationPolicy.BANK_PARTITION:
-            remaining = {
-                bank
-                for other, owner in self._owner.items()
-                if owner == asid
-                for bank in self.mapper.banks_of_frame(other)
-            }
-            for bank in list(self._bank_owner):
-                if self._bank_owner[bank] == asid and bank not in remaining:
+            # A bank stays the domain's while any frame of it remains.
+            for bank, owner in list(self._bank_owner.items()):
+                if owner == asid and (asid, bank) not in self._bank_frames:
                     del self._bank_owner[bank]
         if self.policy is AllocationPolicy.SUBARRAY_AWARE:
             # Release the domain's subarray-group binding once its last
             # frame is gone, so a future tenant can claim the group
             # exclusively.
-            if not any(owner == asid for owner in self._owner.values()):
+            if asid not in self._domain_frames:
                 assert isinstance(self.mapper, SubarrayIsolatedInterleaving)
                 self.mapper.unbind_domain(asid)
 
@@ -187,19 +181,27 @@ class PageAllocator:
         subarray-isolated mapping, its placement slot must stay occupied
         so no future frame inherits the same escaping row.
         """
+        self._release(frame)
+        self._retired.add(frame)
+
+    def _release(self, frame: int) -> int:
+        """Drop ``frame``'s owner and its per-domain, per-bank and per-row
+        counts; returns the owner."""
         asid = self._owner.pop(frame, None)
         if asid is None:
             raise KeyError(f"frame {frame} is not allocated")
+        _decrement(self._domain_frames, asid)
+        if self.policy is AllocationPolicy.BANK_PARTITION:
+            for bank in self.mapper.banks_of_frame(frame):
+                _decrement(self._bank_frames, (asid, bank))
         for row in self._rows_of_frame(frame):
             counts = self._row_domains.get(row)
             if counts is None:
                 continue
-            counts[asid] = counts.get(asid, 1) - 1
-            if counts[asid] <= 0:
-                counts.pop(asid, None)
+            _decrement(counts, asid)
             if not counts:
                 del self._row_domains[row]
-        self._retired.add(frame)
+        return asid
 
     @property
     def retired_frames(self) -> int:
@@ -221,7 +223,7 @@ class PageAllocator:
 
     @property
     def free_frames(self) -> int:
-        return len(self._free)
+        return int(np.count_nonzero(self._free))
 
     @property
     def allocated_frames(self) -> int:
@@ -241,32 +243,60 @@ class PageAllocator:
     def _allocate_one(
         self, asid: int, avoid_rows: Optional[FrozenSet[RowKey]] = None
     ) -> int:
-        fallback = None
-        for frame in sorted(self._free):
-            if not self._admissible(frame, asid):
-                continue
-            if avoid_rows and any(
-                row in avoid_rows for row in self._rows_of_frame(frame)
-            ):
-                if fallback is None:
-                    fallback = frame
-                continue
-            return self._take(frame, asid)
-        if fallback is not None:
-            return self._take(fallback, asid)
+        """First fit: the first admissible free frame that touches no row
+        of ``avoid_rows``, else the first admissible free frame."""
+        for frame in self._candidates(avoid_rows):
+            if self._admissible(frame, asid):
+                return self._take(frame, asid)
         raise OutOfMemoryError(
             f"no frame satisfies policy {self.policy.value} for ASID {asid}"
         )
+
+    def _candidates(
+        self, avoid_rows: Optional[FrozenSet[RowKey]]
+    ) -> Iterator[int]:
+        """Free frames in first-fit preference order: ascending, with the
+        frames touching a row of ``avoid_rows`` after all the others."""
+        free = self._free
+        if not avoid_rows or self.policy is AllocationPolicy.SUBARRAY_AWARE:
+            # Under SUBARRAY_AWARE the controller puts whichever frame is
+            # taken into the next free slot of the domain's group, so all
+            # candidates would land on the same rows: avoid_rows cannot
+            # rank them, and probing a free frame's rows would place it.
+            return map(int, np.flatnonzero(free))
+        if not isinstance(self.mapper, SubarrayIsolatedInterleaving):
+            avoided = np.zeros_like(free)
+            for row in avoid_rows:
+                avoided[self._frames_of_row(row)] = True
+            return map(int, chain(
+                np.flatnonzero(free & ~avoided), np.flatnonzero(free & avoided)
+            ))
+        # Subarray mapping without domain placement: a frame's rows come
+        # from its first-touch placement, which asking for them performs.
+        def touches(frame: int) -> bool:
+            return not self._rows_of_frame(frame).isdisjoint(avoid_rows)
+
+        return _deferring(map(int, np.flatnonzero(free)), touches)
+
+    def _frames_of_row(self, row: RowKey) -> np.ndarray:
+        frames = self._row_frames.get(row)
+        if frames is None:
+            frames = np.asarray(self.mapper.frames_of_row(row), dtype=np.intp)
+            self._row_frames[row] = frames
+        return frames
 
     def _take(self, frame: int, asid: int) -> int:
         if self.policy is AllocationPolicy.SUBARRAY_AWARE:
             assert isinstance(self.mapper, SubarrayIsolatedInterleaving)
             self.mapper.assign_frame(frame, asid)
-        self._free.discard(frame)
+        self._free[frame] = False
         self._owner[frame] = asid
+        self._domain_frames[asid] = self._domain_frames.get(asid, 0) + 1
         if self.policy is AllocationPolicy.BANK_PARTITION:
             for bank in self.mapper.banks_of_frame(frame):
                 self._bank_owner[bank] = asid
+                key = (asid, bank)
+                self._bank_frames[key] = self._bank_frames.get(key, 0) + 1
         for row in self._rows_of_frame(frame):
             counts = self._row_domains.setdefault(row, {})
             counts[asid] = counts.get(asid, 0) + 1
@@ -296,35 +326,45 @@ class PageAllocator:
         """No row of ``frame`` may lie within ``guard_radius`` rows of a
         row holding another domain's data (same bank, same subarray)."""
         geometry = self.mapper.geometry
-        for address in self.mapper.frame_addresses(frame):
-            for neighbor_row in geometry.neighbors_within(
-                address.row, self.guard_radius
+        for channel, rank, bank, row in self._rows_of_frame(frame):
+            # Rows can be shared between frames under some mappings: the
+            # frame's own rows must also not already hold foreign data.
+            for neighbor_row in chain(
+                (row,), geometry.neighbors_within(row, self.guard_radius)
             ):
-                key = (address.channel, address.rank, address.bank, neighbor_row)
+                key = (channel, rank, bank, neighbor_row)
                 owners = self._row_domains.get(key)
                 if owners and any(owner != asid for owner in owners):
                     return False
-            # Rows can be shared between frames under some mappings: the
-            # frame's own rows must also not already hold foreign data.
-            own_key = address.row_key()
-            owners = self._row_domains.get(own_key)
-            if owners and any(owner != asid for owner in owners):
-                return False
         return True
 
     def _blocked(self, frame: int) -> bool:
         """A free frame no domain could currently claim (pure waste)."""
-        if frame not in self._free:
+        if not self._free[frame]:
             return False
         if self.policy is not AllocationPolicy.GUARD_ROWS:
             return False
-        owners = {
-            owner
-            for address in self.mapper.frame_addresses(frame)
-            for row in [address.row_key()]
-            for owner in self._row_domains.get(row, ())
-        }
-        current = set(self._owner.values())
-        return bool(current) and not any(
-            self._guard_admissible(frame, asid) for asid in current
+        return bool(self._domain_frames) and not any(
+            self._guard_admissible(frame, asid) for asid in self._domain_frames
         )
+
+
+def _decrement(counts: Dict, key) -> None:
+    """Count one fewer of ``key``, dropping it at zero."""
+    counts[key] -= 1
+    if counts[key] <= 0:
+        del counts[key]
+
+
+def _deferring(
+    frames: Iterable[int], deferred: Callable[[int], bool]
+) -> Iterator[int]:
+    """``frames`` in order, except that those for which ``deferred`` is
+    true come after all the others (still in order)."""
+    later = []
+    for frame in frames:
+        if deferred(frame):
+            later.append(frame)
+        else:
+            yield frame
+    yield from later

@@ -148,26 +148,55 @@ class AddressMapper:
         start = frame * self.lines_per_page
         return range(start, start + self.lines_per_page)
 
+    # -- frame geometry ---------------------------------------------------
+    #
+    # Frame queries compute from the mapping's arithmetic and neither read
+    # nor fill the ``line_to_ddr`` memo: the host OS asks them of frames
+    # the running program may never touch (allocator probes, domain
+    # set-up), and routing them through the memo would evict the
+    # controller's hot translations.
+
     def frame_addresses(self, frame: int) -> List[DdrAddress]:
-        """DDR coordinates of every line in ``frame``."""
-        return [self.line_to_ddr(line) for line in self.lines_of_frame(frame)]
+        """DDR coordinates of every line in ``frame``, in line order."""
+        to_ddr = self._line_to_ddr_uncached
+        return [to_ddr(line) for line in self.lines_of_frame(frame)]
+
+    def _frame_bank_rows(self, frame: int) -> Set[tuple]:
+        """``(flat bank, row)`` pairs the frame's lines touch, in each
+        scheme's closed form."""
+        raise NotImplementedError
 
     def banks_of_frame(self, frame: int) -> Set[int]:
         """Flat bank indices the frame's lines touch."""
-        return {
-            self.geometry.bank_index(addr) for addr in self.frame_addresses(frame)
-        }
+        return {bank for bank, _ in self._frame_bank_rows(frame)}
 
     def rows_of_frame(self, frame: int) -> Set[tuple]:
         """Row keys the frame's lines touch."""
-        return {addr.row_key() for addr in self.frame_addresses(frame)}
+        coords = self._bank_coords
+        return {
+            (*coords[bank], row) for bank, row in self._frame_bank_rows(frame)
+        }
 
     def subarrays_of_frame(self, frame: int) -> Set[int]:
         """Subarray indices (bank-local) the frame's lines touch."""
+        rows_per_subarray = self.geometry.rows_per_subarray
         return {
-            self.geometry.subarray_of_row(addr.row)
-            for addr in self.frame_addresses(frame)
+            row // rows_per_subarray for _, row in self._frame_bank_rows(frame)
         }
+
+    def frames_of_row(self, row_key: tuple) -> List[int]:
+        """Frames with a line in the row ``(channel, rank, bank, row)``,
+        ascending — the inverse of :meth:`rows_of_frame`.  Defined for
+        the static schemes, whose frames never move."""
+        raise NotImplementedError(
+            f"{self.name} places frames at run time; frames_of_row is "
+            "defined only for static mappings"
+        )
+
+    def _row_bank(self, row_key: tuple) -> int:
+        """Validated flat bank index of ``row_key``."""
+        channel, rank, bank, row = row_key
+        return self.geometry.bank_index(DdrAddress(channel, rank, bank, row, 0))
 
     def _check_line(self, line: int) -> None:
         if not 0 <= line < self.total_lines:
@@ -267,6 +296,28 @@ class LinearMapping(AddressMapper):
         rest = bank_flat * self.geometry.rows_per_bank + address.row
         return rest * self.geometry.columns_per_row + address.column
 
+    def _frame_bank_rows(self, frame: int) -> Set[tuple]:
+        # Line // columns_per_row numbers the (bank, row) pairs in order.
+        self._check_frame(frame)
+        cols = self.geometry.columns_per_row
+        rows = self.geometry.rows_per_bank
+        start = frame * self.lines_per_page
+        last = start + self.lines_per_page - 1
+        return {
+            divmod(rest, rows) for rest in range(start // cols, last // cols + 1)
+        }
+
+    def frames_of_row(self, row_key: tuple) -> List[int]:
+        cols = self.geometry.columns_per_row
+        bank_flat = self._row_bank(row_key)
+        first = (bank_flat * self.geometry.rows_per_bank + row_key[3]) * cols
+        return list(
+            range(
+                first // self.lines_per_page,
+                (first + cols - 1) // self.lines_per_page + 1,
+            )
+        )
+
 
 class CachelineInterleaving(AddressMapper):
     """Consecutive cache lines round-robin across all banks."""
@@ -350,7 +401,7 @@ class CachelineInterleaving(AddressMapper):
                 rest, bank_flat = divmod(line, banks)
                 row, column = divmod(rest, cols)
                 if permute:
-                    bank_flat = self._permute(bank_flat, row)
+                    bank_flat = self._physical_bank(bank_flat, row)
                 channel, rank, bank = coords[bank_flat]
                 address = addr(channel, rank, bank, row, column)
                 misses += 1
@@ -368,6 +419,45 @@ class CachelineInterleaving(AddressMapper):
         rest = address.row * self.geometry.columns_per_row + address.column
         return rest * self.geometry.banks_total + bank_flat
 
+    def _physical_bank(self, bank_flat: int, row: int) -> int:
+        """Flat bank a line of round-robin bank ``bank_flat`` lands in."""
+        return bank_flat
+
+    def _round_robin_bank(self, bank_flat: int, row: int) -> int:
+        """Inverse of :meth:`_physical_bank`."""
+        return bank_flat
+
+    def _frame_bank_rows(self, frame: int) -> Set[tuple]:
+        # Row = line // (banks * columns_per_row); the round-robin bank is
+        # line % banks, so a chunk of at least ``banks`` lines in one row
+        # touches every bank.
+        self._check_frame(frame)
+        banks = self.geometry.banks_total
+        span = banks * self.geometry.columns_per_row
+        start = frame * self.lines_per_page
+        stop = start + self.lines_per_page
+        physical = self._physical_bank
+        pairs = set()
+        for row in range(start // span, (stop - 1) // span + 1):
+            low = max(start, row * span)
+            high = min(stop, (row + 1) * span)
+            if high - low >= banks:
+                round_robin = range(banks)
+            else:
+                round_robin = {line % banks for line in range(low, high)}
+            pairs.update((physical(bank, row), row) for bank in round_robin)
+        return pairs
+
+    def frames_of_row(self, row_key: tuple) -> List[int]:
+        banks = self.geometry.banks_total
+        cols = self.geometry.columns_per_row
+        row = row_key[3]
+        first = row * cols * banks + self._round_robin_bank(
+            self._row_bank(row_key), row
+        )
+        lpp = self.lines_per_page
+        return sorted({(first + col * banks) // lpp for col in range(cols)})
+
 
 class PermutationInterleaving(CachelineInterleaving):
     """Cache-line interleaving with the bank index permuted by XOR with
@@ -382,22 +472,28 @@ class PermutationInterleaving(CachelineInterleaving):
     def _line_to_ddr_uncached(self, line: int) -> DdrAddress:
         base = super()._line_to_ddr_uncached(line)
         bank_flat = self.geometry.bank_index(base)
-        permuted = self._permute(bank_flat, base.row)
+        permuted = self._physical_bank(bank_flat, base.row)
         channel, rank, bank = self.geometry.bank_from_index(permuted)
         return DdrAddress(channel, rank, bank, base.row, base.column)
 
     def ddr_to_line(self, address: DdrAddress) -> int:
         permuted = self.geometry.bank_index(address)
-        bank_flat = self._permute(permuted, address.row)  # XOR is self-inverse
+        bank_flat = self._round_robin_bank(permuted, address.row)
         channel, rank, bank = self.geometry.bank_from_index(bank_flat)
         return super().ddr_to_line(
             DdrAddress(channel, rank, bank, address.row, address.column)
         )
 
-    def _permute(self, bank_flat: int, row: int) -> int:
+    def _physical_bank(self, bank_flat: int, row: int) -> int:
         return (bank_flat ^ row) % self.geometry.banks_total if _is_pow2(
             self.geometry.banks_total
         ) else (bank_flat + row) % self.geometry.banks_total
+
+    def _round_robin_bank(self, bank_flat: int, row: int) -> int:
+        banks = self.geometry.banks_total
+        if _is_pow2(banks):
+            return (bank_flat ^ row) % banks  # XOR is self-inverse
+        return (bank_flat - row) % banks
 
 
 class SubarrayIsolatedInterleaving(AddressMapper):
@@ -531,6 +627,25 @@ class SubarrayIsolatedInterleaving(AddressMapper):
         """Lazily place a frame that was never explicitly assigned."""
         if frame not in self._frame_group:
             self._place(frame, frame % self._default_groups)
+
+    def _frame_bank_rows(self, frame: int) -> Set[tuple]:
+        # Asking for a frame's rows is a touch: it places the frame lazily,
+        # exactly as translating one of its lines would.
+        self._check_frame(frame)
+        self._ensure_placed(frame)
+        # Lines per page is a multiple of the bank count, so each packed
+        # position of the slot holds one line in every bank.
+        geo = self.geometry
+        first = self._frame_slot[frame] * self.lines_per_bank_per_frame
+        last = first + self.lines_per_bank_per_frame - 1
+        base = self._frame_group[frame] * geo.rows_per_subarray
+        return {
+            (bank, base + row)
+            for row in range(
+                first // geo.columns_per_row, last // geo.columns_per_row + 1
+            )
+            for bank in range(geo.banks_total)
+        }
 
     # -- the bijection ---------------------------------------------------
 

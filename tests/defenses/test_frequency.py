@@ -11,6 +11,7 @@ from repro.defenses.frequency import (
     FrameParkingLot,
     remap_page_of_line,
 )
+from repro.mc.controller import MemoryRequest
 from repro.sim import build_system
 
 from tests.defenses.conftest import attack_with
@@ -214,3 +215,34 @@ class TestWearLevelingMechanics:
             avoid_rows=frozenset({first.hot_line_new_row}),
         )
         assert second.hot_line_new_row != first.hot_line_new_row
+
+    def test_remap_handler_never_fails_on_isolated_platform(
+        self, isolation_config
+    ):
+        """Hammering two rows of one tenant on the paper's platform: every
+        precise interrupt moves a page, none raises in the handler."""
+        system = build_system(isolation_config)
+        defense = AggressorRemapDefense()
+        defense.attach(system)
+        tenant = system.create_domain("t", pages=64)
+        first_line_of_row = {}
+        for virtual in range(tenant.pages * tenant.lines_per_page):
+            address = system.mapper.line_to_ddr(tenant.physical_line(virtual))
+            first_line_of_row.setdefault(address.row_key(), virtual)
+        bank = next(iter(first_line_of_row))[:3]
+        pair = [
+            virtual for row, virtual in first_line_of_row.items()
+            if row[:3] == bank
+        ][:2]
+        now = 0
+        for i in range(4000):
+            request = MemoryRequest(
+                time_ns=now,
+                physical_line=tenant.physical_line(pair[i % 2]),
+                domain=tenant.asid,
+            )
+            now = system.controller.submit(request).ready_at_ns
+        assert system.controller.stats.interrupt_handler_failures == 0
+        counters = defense.counters
+        assert counters["interrupts"] > 1
+        assert counters["pages_moved"] == counters["interrupts"]

@@ -220,6 +220,22 @@ class TestAvoidRows:
         frames = allocator.allocate(1, 1, avoid_rows=all_rows)
         assert frames  # constraint dropped, not OOM
 
+    def test_subarray_aware_probe_places_nothing(self, geometry):
+        """Under SUBARRAY_AWARE the MC places a frame when it is taken;
+        an avoid_rows probe must not place free candidates (which made
+        the later assign_frame raise "already assigned")."""
+        mapper = SubarrayIsolatedInterleaving(geometry)
+        allocator = PageAllocator(
+            mapper, policy=AllocationPolicy.SUBARRAY_AWARE
+        )
+        (first,) = allocator.allocate(1)
+        avoid = frozenset(mapper.rows_of_frame(first))
+        frames = [
+            allocator.allocate(1, 1, avoid_rows=avoid)[0] for _ in range(3)
+        ]
+        assert frames == [first + 1, first + 2, first + 3]
+        assert set(mapper._frame_group) == {first, *frames}
+
 
 class TestRetire:
     def test_retired_frame_never_reallocated(self, geometry):

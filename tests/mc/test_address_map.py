@@ -204,3 +204,123 @@ class TestFrameHelpers:
         mapper = LinearMapping(geometry)
         byte_address = 3 * geometry.cacheline_bytes
         assert mapper.physical_to_ddr(byte_address) == mapper.line_to_ddr(3)
+
+
+# (geometry, page bytes): power-of-two shapes, pages spanning several
+# rows of a linear bank, pages smaller than the bank count, and a
+# two-channel shape with a non-power-of-two bank count and row width.
+FRAME_GEOMETRIES = [
+    (DramGeometry(banks_per_rank=4, subarrays_per_bank=2,
+                  rows_per_subarray=4, columns_per_row=32), 4096),
+    (DramGeometry(banks_per_rank=8, subarrays_per_bank=2,
+                  rows_per_subarray=4, columns_per_row=16), 512),
+    (DramGeometry(banks_per_rank=8, subarrays_per_bank=2,
+                  rows_per_subarray=4, columns_per_row=16), 256),
+    (DramGeometry(channels=2, banks_per_rank=3, subarrays_per_bank=2,
+                  rows_per_subarray=4, columns_per_row=24), 384),
+]
+
+
+def _mapper_pair(scheme, geometry, page_bytes):
+    """Two identical mappers, or a skip when the shape does not fit."""
+    try:
+        return (make_mapper(scheme, geometry, page_bytes),
+                make_mapper(scheme, geometry, page_bytes))
+    except ValueError as error:
+        pytest.skip(str(error))
+
+
+def _translated(mapper, frame):
+    """The frame's addresses through the memoised ``line_to_ddr``."""
+    return [mapper.line_to_ddr(line) for line in mapper.lines_of_frame(frame)]
+
+
+class TestFrameGeometry:
+    """Frame queries compute from the mapping's arithmetic; they must
+    agree with translating every line, and leave the memo alone."""
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("geometry,page_bytes", FRAME_GEOMETRIES)
+    def test_frame_queries_match_translation(self, scheme, geometry,
+                                             page_bytes):
+        mapper, reference = _mapper_pair(scheme, geometry, page_bytes)
+        before = mapper.memo_counters()
+        # Frames in the same order on both, so subarray placement (first
+        # touch) matches.
+        for frame in range(mapper.total_frames):
+            expected = _translated(reference, frame)
+            assert mapper.frame_addresses(frame) == expected
+            assert mapper.rows_of_frame(frame) == {
+                address.row_key() for address in expected
+            }
+            assert mapper.banks_of_frame(frame) == {
+                geometry.bank_index(address) for address in expected
+            }
+            assert mapper.subarrays_of_frame(frame) == {
+                geometry.subarray_of_row(address.row) for address in expected
+            }
+        assert mapper.memo_counters() == before
+
+    @pytest.mark.parametrize("geometry,page_bytes", FRAME_GEOMETRIES[:1])
+    def test_subarray_frame_queries_follow_assignment(self, geometry,
+                                                      page_bytes):
+        mapper, reference = _mapper_pair(
+            "subarray-isolated", geometry, page_bytes
+        )
+        for target in (mapper, reference):
+            target.bind_domain(1, group=1)
+            for frame in (5, 2, 7):
+                target.assign_frame(frame, 1)
+            target.release_frame(2)
+            target.assign_frame(3, 1)
+        for frame in (5, 7, 3, 0):
+            expected = _translated(reference, frame)
+            assert mapper.frame_addresses(frame) == expected
+            assert mapper.rows_of_frame(frame) == {
+                address.row_key() for address in expected
+            }
+        assert mapper.memo_counters()["entries"] == 0
+
+    @pytest.mark.parametrize(
+        "scheme", ["linear", "cacheline-interleave", "permutation-interleave"]
+    )
+    @pytest.mark.parametrize("geometry,page_bytes", FRAME_GEOMETRIES)
+    def test_frames_of_row_inverts_rows_of_frame(self, scheme, geometry,
+                                                 page_bytes):
+        mapper = make_mapper(scheme, geometry, page_bytes)
+        frames_by_row = {}
+        for frame in range(mapper.total_frames):
+            for row in mapper.rows_of_frame(frame):
+                frames_by_row.setdefault(row, []).append(frame)
+        before = mapper.memo_counters()
+        for channel, rank, bank in geometry.iter_banks():
+            for row in range(geometry.rows_per_bank):
+                key = (channel, rank, bank, row)
+                assert mapper.frames_of_row(key) == frames_by_row[key]
+        assert mapper.memo_counters() == before
+
+    def test_frames_of_row_validates_the_row(self, geometry):
+        mapper = CachelineInterleaving(geometry)
+        with pytest.raises(ValueError):
+            mapper.frames_of_row((0, 0, 0, geometry.rows_per_bank))
+        with pytest.raises(ValueError):
+            mapper.frames_of_row((0, 0, geometry.banks_per_rank, 0))
+
+    def test_frames_of_row_undefined_for_subarray_mapping(self, geometry):
+        with pytest.raises(NotImplementedError):
+            SubarrayIsolatedInterleaving(geometry).frames_of_row((0, 0, 0, 0))
+
+    def test_cacheline_row_holds_sixteen_frames(self):
+        """The defended platform's shape: 8 banks x 128 columns per row
+        index, 64-line pages."""
+        geometry = DramGeometry(banks_per_rank=8, columns_per_row=128)
+        mapper = CachelineInterleaving(geometry)
+        assert mapper.frames_of_row((0, 0, 3, 5)) == list(range(80, 96))
+
+    @pytest.mark.parametrize("geometry,page_bytes", FRAME_GEOMETRIES)
+    def test_permutation_round_trip(self, geometry, page_bytes):
+        """The bank permutation is undone exactly, also when the bank
+        count is not a power of two (where it is not an XOR)."""
+        mapper = PermutationInterleaving(geometry, page_bytes)
+        for line in range(mapper.total_lines):
+            assert mapper.ddr_to_line(mapper.line_to_ddr(line)) == line
