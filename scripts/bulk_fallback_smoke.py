@@ -3,7 +3,7 @@
 
 For each defense in the registry, drive one attack-shape iteration (a
 double-sided hammer through ``run_rounds_columnar``) with the defense
-attached — **with tracing and profiling enabled** — then inspect
+attached — **with tracing enabled** — then inspect
 ``mc.columnar_fallbacks``:
 
 * a defense that advertises ``supports_bulk_acts`` must cause **zero**
@@ -13,11 +13,10 @@ attached — **with tracing and profiling enabled** — then inspect
   serviced entirely through the counted ordered fallback — if the
   count is zero, its strict per-ACT ordering guarantee was silently
   dropped;
-* under **no** defense may ``mc.columnar_fallbacks.trace`` or
-  ``mc.columnar_fallbacks.profiler`` be nonzero: observability rides
-  the bulk path (columnar trace records, ``disturb_bulk`` profiler
-  phases), so an attached sink or profiler demoting a batch means the
-  vectorized tracing regressed to the old guard;
+* under **no** defense may ``mc.columnar_fallbacks.trace`` be
+  nonzero: tracing rides the bulk path (columnar trace records), so an
+  attached sink demoting a batch means the vectorized tracing
+  regressed to the old guard;
 * under **no** defense may ``interrupt_handler_failures`` be nonzero:
   the controller counts a host interrupt handler that raised and goes
   on, so a defense whose handler breaks would otherwise stop defending
@@ -76,7 +75,6 @@ def main() -> int:
         system = scenario.system
         sink = CountingSink()
         system.obs.trace.set_sink(sink)
-        system.enable_profiling()
         planner = AttackPlanner(system, scenario.attacker)
         plan = planner.plan(scenario.victim, "double-sided")
         attacker = Attacker(system, scenario.attacker, plan)
@@ -84,10 +82,7 @@ def main() -> int:
         snapshot = system.controller.stats.snapshot()
         fallbacks = system.controller.stats.columnar_fallbacks
         bulk = defense.supports_bulk_acts
-        obs_demotions = (
-            snapshot["columnar_fallbacks.trace"]
-            + snapshot["columnar_fallbacks.profiler"]
-        )
+        trace_demotions = snapshot["columnar_fallbacks.trace"]
         handler_failures = system.controller.stats.interrupt_handler_failures
         if handler_failures:
             failures.append(
@@ -95,11 +90,11 @@ def main() -> int:
                 f"call(s) raised — the defense stopped acting on them"
             )
             verdict = "FAIL"
-        elif obs_demotions:
+        elif trace_demotions:
             failures.append(
-                f"{defense_cls.name}: tracing/profiling demoted the bulk "
-                f"path ({obs_demotions} observability fallbacks) — "
-                f"columnar observability regressed to the old guard"
+                f"{defense_cls.name}: tracing demoted the bulk path "
+                f"({trace_demotions} trace fallbacks) — columnar "
+                f"tracing regressed to the old guard"
             )
             verdict = "FAIL"
         elif bulk and fallbacks:

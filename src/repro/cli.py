@@ -131,16 +131,6 @@ def _cmd_attack(args) -> int:
                  or (result.cross_domain_flips > 0) == args.expect_flips) else 1
 
 
-def _cmd_bench(args) -> int:
-    from repro.analysis.bench import run_from_args
-
-    try:
-        return run_from_args(args)
-    except ValueError as error:
-        print(f"repro bench: error: {error}", file=sys.stderr)
-        return 2
-
-
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     """The result-cache pair shared by cache-consulting subcommands."""
     parser.add_argument(
@@ -844,13 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
              "journal and its telemetry sidecar",
     )
 
-    bench_parser = sub.add_parser(
-        "bench", help="benchmark the simulator's core hot paths",
-    )
-    from repro.analysis.bench import add_bench_arguments
-
-    add_bench_arguments(bench_parser)
-
     replicate_parser = sub.add_parser(
         "replicate",
         help="run seeded replications of an experiment scenario, "
@@ -1104,7 +1087,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _cmd_run,
         "attack": _cmd_attack,
         "report": _cmd_report,
-        "bench": _cmd_bench,
         "replicate": _cmd_replicate,
         "trace": _cmd_trace,
         "status": _cmd_status,

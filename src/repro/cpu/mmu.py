@@ -15,10 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-try:  # numpy powers the bulk translation plan; scalar paths run without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image ships numpy
-    _np = None
+import numpy as _np
 
 
 class TranslationError(Exception):
@@ -199,8 +196,6 @@ class Mmu:
     def plan_translation(self, asid: int, virtual_lines) -> "TranslationPlan":
         """Build a :class:`TranslationPlan` for a chunk of accesses (the
         columnar front end's unit of translation)."""
-        if _np is None:  # pragma: no cover - numpy ships with the image
-            raise RuntimeError("bulk translation requires numpy")
         return TranslationPlan(self, asid, virtual_lines)
 
     def reverse_lookup(self, frame: int) -> Optional[Tuple[int, int]]:

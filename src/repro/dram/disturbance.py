@@ -21,12 +21,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.dram.geometry import DdrAddress, DramGeometry
+import numpy as _np
 
-try:  # numpy powers the bulk kernel; the scalar twin runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image ships numpy
-    _np = None
+from repro.dram.geometry import DdrAddress, DramGeometry
 
 #: Below this many ACTs the numpy kernel's array setup costs more than
 #: the scalar walk it replaces (event vectors, lexsort, group scan).
@@ -273,8 +270,8 @@ class DisturbanceTracker:
         The vector form exists because neighbour accrual dominates
         attack-shape profiles: the numpy kernel replaces the per-ACT
         dict walk with one lexsorted event array and a cumulative sum
-        per victim group.  Small batches (and numpy-less installs) run
-        the scalar twin instead — behaviour is identical either way.
+        per victim group.  Batches below ``_BULK_MIN_ACTS`` run the scalar
+        twin instead — behaviour is identical either way.
 
         ``out_positions``, when given, receives one batch position (the
         index of the causing ACT within ``addresses``) per *returned*
@@ -285,7 +282,7 @@ class DisturbanceTracker:
         count = len(addresses)
         if count == 0:
             return []
-        if _np is None or count < _BULK_MIN_ACTS:
+        if count < _BULK_MIN_ACTS:
             return self._bulk_scalar_fused(
                 addresses, times, domains, rows, count, out_positions
             )

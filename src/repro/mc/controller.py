@@ -16,7 +16,6 @@ without a cycle-accurate pipeline.
 from __future__ import annotations
 
 import random
-import time as _time
 from array import array as _array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -34,7 +33,6 @@ from repro.mc.counters import (
 from repro.mc.stats import ControllerStats
 from repro.obs import events as _ev
 from repro.obs.columnar import ColumnarTraceRecord, flip_payload
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import TraceBus
 
 
@@ -134,7 +132,6 @@ class MemoryController:
         self.page_policy = page_policy
         self.stats = ControllerStats()
         self.trace = trace if trace is not None else TraceBus()
-        self.profiler: Optional[PhaseProfiler] = None
         self._rng = rng or random.Random(0)
         # Each channel's jitter RNG is seeded ``counter_seed ^ channel``
         # (the same derivation defenses use for their own streams), so no
@@ -223,15 +220,6 @@ class MemoryController:
         self._act_observer_bulk.append(bulk)
 
     # ------------------------------------------------------------------
-    # Observability wiring
-    # ------------------------------------------------------------------
-
-    def enable_profiling(self, profiler: PhaseProfiler) -> None:
-        """Time subsequent requests per phase.  Results are identical to
-        an unprofiled run; only wall clocks differ."""
-        self.profiler = profiler
-
-    # ------------------------------------------------------------------
     # The request path
     # ------------------------------------------------------------------
 
@@ -242,13 +230,7 @@ class MemoryController:
         executed first; ACT counters/observers/gates fire if the request
         activates a row.
         """
-        profiler = self.profiler
-        if profiler is None:
-            address = self.mapper.line_to_ddr(request.physical_line)
-        else:
-            t0 = _time.perf_counter()
-            address = self.mapper.line_to_ddr(request.physical_line)
-            profiler.add("translate", _time.perf_counter() - t0)
+        address = self.mapper.line_to_ddr(request.physical_line)
         done, outcome, throttled, flips = self._service(
             address, request.time_ns, request.physical_line,
             request.is_write, request.domain, request.is_dma,
@@ -290,12 +272,7 @@ class MemoryController:
         here, so gates, device activation, ACT counters/observers, trace
         events and statistics land per request in one fixed order.
         Translating before the refresh guard is safe: REF bursts neither
-        consult nor mutate the address mapper.  With a profiler attached
-        the refresh guard, classification and gates are timed as
-        ``schedule`` and the device/bus work as ``access``."""
-        profiler = self.profiler
-        if profiler is not None:
-            t0 = _time.perf_counter()
+        consult nor mutate the address mapper."""
         if self.refresh_enabled and self._next_ref_at <= time_ns:
             self.advance_to(time_ns)
         device = self.device
@@ -322,8 +299,6 @@ class MemoryController:
         else:
             outcome = "hit"
             stats.row_hits += 1
-        if profiler is not None:
-            t1 = _time.perf_counter()
         if will_act:
             data_at_bank = bank.access(row, now)
             flips = device._physical_activate(address, data_at_bank, domain)
@@ -343,9 +318,6 @@ class MemoryController:
         bus[address.channel] = done
         if self.page_policy == "closed":
             bank.precharge(data_at_bank)
-        if profiler is not None:
-            profiler.add("schedule", t1 - t0)
-            profiler.add("access", _time.perf_counter() - t1)
 
         trace = self.trace
         if trace.enabled:
@@ -384,14 +356,12 @@ class MemoryController:
         boundaries (miss/conflict) delegate to the device so disturbance
         physics and defense hooks fire per activation as always.
 
-        Tracing and profiling ride the fast path: the bulk engine
+        Tracing rides the fast path: the bulk engine
         defers per-ACT trace data into the same columns it already
         keeps and emits one
         :class:`~repro.obs.columnar.ColumnarTraceRecord` per flushed
         segment (``TraceBus.emit_bulk``), whose expansion is
-        bit-identical to the scalar event stream; an attached profiler
-        is fed the columnar phases (``translate_bulk`` /
-        ``disturb_bulk``) instead of forcing a demotion.  When every
+        bit-identical to the scalar event stream.  When every
         ACT subscriber provides a bulk twin the batch runs on the fully
         vectorized engine (:meth:`_submit_columnar_bulk`); a scalar-only
         observer routes it through the ordered per-request loop over
@@ -405,15 +375,7 @@ class MemoryController:
         n = len(line_col)
         if n == 0:
             return 0
-        profiler = self.profiler
-        if profiler is None:
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-        else:
-            t0 = _time.perf_counter()
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-            profiler.add(
-                "translate_bulk", _time.perf_counter() - t0, calls=n
-            )
+        addresses = self.mapper.lines_to_ddr_bulk(line_col)
         if None in self._act_observer_bulk:
             self._note_columnar_fallback(
                 "scalar_observer", n, batch.issue_ns[0]
@@ -486,15 +448,7 @@ class MemoryController:
                 "submit_columnar_run needs bulk-capable observers and no "
                 "interrupt handlers; check supports_columnar_run first"
             )
-        profiler = self.profiler
-        if profiler is None:
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-        else:
-            t0 = _time.perf_counter()
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-            profiler.add(
-                "translate_bulk", _time.perf_counter() - t0, calls=n
-            )
+        addresses = self.mapper.lines_to_ddr_bulk(line_col)
         if isinstance(domain, _array):
             # per-element domain column (the shared-queue interleave)
             if len(domain) != n:
@@ -621,8 +575,6 @@ class MemoryController:
 
         trace = self.trace
         tracing = trace.enabled
-        profiler = self.profiler
-        perf = _time.perf_counter
 
         # Deferred ACT event columns, flushed together: logical address,
         # internal row (remapped configs only), ACT completion time for
@@ -648,8 +600,6 @@ class MemoryController:
                 return
             # Rows and flat bank ids ride along as plain int columns so
             # the tracker's numpy kernel skips its attribute walks.
-            if profiler is not None:
-                d0 = perf()
             if tracing:
                 flip_positions: List[int] = []
                 flips = tracker.on_activate_bulk(
@@ -662,8 +612,6 @@ class MemoryController:
                     act_addr, act_t, act_dom,
                     rows=act_row, bank_ids=act_bid,
                 )
-            if profiler is not None:
-                profiler.add("disturb_bulk", perf() - d0, calls=len(act_t))
             if tracing:
                 # The record takes ownership of the deferred columns —
                 # they are *rebound* below, never cleared, so handing

@@ -19,7 +19,6 @@ from __future__ import annotations
 from array import array as _array
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
-from time import perf_counter
 from typing import List, Sequence
 
 from repro.mc.controller import CompletedRequest, MemoryController, MemoryRequest
@@ -153,15 +152,7 @@ class BatchScheduler:
         # first-touch frame placement lands identically.  Bank open-row
         # state is still read fresh in every round.
         lines = [request.physical_line for request in pending]
-        profiler = controller.profiler
-        if profiler is None:
-            addresses = controller.mapper.lines_to_ddr_bulk(lines)
-        else:
-            p0 = perf_counter()
-            addresses = controller.mapper.lines_to_ddr_bulk(lines)
-            profiler.add(
-                "translate_bulk", perf_counter() - p0, calls=len(lines)
-            )
+        addresses = controller.mapper.lines_to_ddr_bulk(lines)
         # Pre-resolve each request's bank object and row so a scan round
         # is a plain list walk (no per-element tuple construction or dict
         # lookups); the lists are popped in lockstep with ``pending``.
@@ -219,12 +210,10 @@ class BatchScheduler:
         shared issue time (the scheduler's windows are simultaneously
         outstanding by construction).  Anything else delegates to
         :meth:`issue` — counted in ``mc.columnar_fallbacks`` (total and
-        per-reason) with the blocking reason.  Tracing and profiling
-        are *not* fallback reasons: the bulk engine emits columnar
-        trace records whose expansion matches the scalar stream, this
-        method emits the same ``sched_batch`` event :meth:`issue`
-        would, and an attached profiler times the selection scan under
-        the ``schedule_columnar`` phase.
+        per-reason) with the blocking reason.  Tracing is *not* a
+        fallback reason: the bulk engine emits columnar trace records
+        whose expansion matches the scalar stream, and this method
+        emits the same ``sched_batch`` event :meth:`issue` would.
 
         A periodic REF burst due at the window start needs no fallback:
         with a uniform issue time the whole burst executes inside the
@@ -269,15 +258,7 @@ class BatchScheduler:
         if controller.batch_fault is not None:
             t0 += controller.batch_fault(t0, n)
         device = controller.device
-        profiler = controller.profiler
-        if profiler is None:
-            addresses = controller.mapper.lines_to_ddr_bulk(line_col)
-            p1 = 0.0
-        else:
-            p0 = perf_counter()
-            addresses = controller.mapper.lines_to_ddr_bulk(line_col)
-            p1 = perf_counter()
-            profiler.add("translate_bulk", p1 - p0, calls=n)
+        addresses = controller.mapper.lines_to_ddr_bulk(line_col)
         geometry = device.geometry
         ranks_per_channel = geometry.ranks_per_channel
         banks_per_rank = geometry.banks_per_rank
@@ -305,8 +286,6 @@ class BatchScheduler:
         write_col = batch.is_write
         dom_col = batch.domain
         times = [t0] * n
-        if profiler is not None:
-            profiler.add("schedule_columnar", perf_counter() - p1, calls=n)
         return controller._submit_columnar_bulk(
             [addresses[index] for index in order],
             [line_col[index] for index in order],
@@ -363,13 +342,7 @@ class BatchScheduler:
             return now
         trace = controller.trace
         tracing = trace.enabled
-        profiler = controller.profiler
-        if profiler is None:
-            addresses = controller.mapper.lines_to_ddr_bulk(line_col)
-        else:
-            p0 = perf_counter()
-            addresses = controller.mapper.lines_to_ddr_bulk(line_col)
-            profiler.add("translate_bulk", perf_counter() - p0, calls=n)
+        addresses = controller.mapper.lines_to_ddr_bulk(line_col)
         device = controller.device
         geometry = device.geometry
         ranks_per_channel = geometry.ranks_per_channel
@@ -392,8 +365,6 @@ class BatchScheduler:
                 return
             if tracing:
                 trace.emit(SCHED_BATCH, t0, size=end - start, policy=policy)
-            if profiler is not None:
-                s0 = perf_counter()
             open_rows: dict = {}
             for index in range(start, end):
                 bid = bank_ids[index]
@@ -423,11 +394,6 @@ class BatchScheduler:
                 )
                 dom_col[start:end] = _array(
                     "q", [dom_col[start + j] for j in order]
-                )
-            if profiler is not None:
-                profiler.add(
-                    "schedule_columnar", perf_counter() - s0,
-                    calls=end - start,
                 )
 
         return controller._submit_columnar_bulk(

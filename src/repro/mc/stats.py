@@ -18,7 +18,6 @@ from typing import Dict
 #: ``columnar_fallback`` trace event
 FALLBACK_REASONS = (
     "trace",
-    "profiler",
     "scalar_observer",
     "interrupt_handlers",
     "mixed_times",

@@ -23,10 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
-try:  # optional; the bulk accrual path sums columns with it when present
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is baked into the image
-    _np = None
+import numpy as _np
 
 Number = Union[int, float]
 
@@ -44,16 +41,12 @@ class Counter:
         self.value += amount
 
     def add_bulk(self, amounts: Iterable[Number]) -> None:
-        """Accrue a whole column in one call: sums ``amounts`` (numpy
-        when available — one vectorized reduction per segment instead of
-        one ``add`` per element) and adds the total."""
-        if _np is not None:
-            if not isinstance(amounts, (list, tuple)):
-                amounts = list(amounts)
-            if amounts:
-                self.value += _np.sum(_np.asarray(amounts)).item()
-        else:
-            self.value += sum(amounts)
+        """Accrue a whole column in one call: one vectorized numpy
+        reduction per segment instead of one ``add`` per element."""
+        if not isinstance(amounts, (list, tuple)):
+            amounts = list(amounts)
+        if amounts:
+            self.value += _np.sum(_np.asarray(amounts)).item()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"

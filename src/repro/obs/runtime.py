@@ -1,9 +1,9 @@
 """Observation wiring: the per-system bundle and the ambient context.
 
 Every :class:`~repro.sim.system.System` owns an :class:`Observability`
-bundle (trace bus + metrics registry, plus optional sampler/profiler).
-The bundle always exists — registration is cheap — but tracing, sampling
-and profiling are off unless something turns them on.
+bundle (trace bus + metrics registry, plus an optional sampler).
+The bundle always exists — registration is cheap — but tracing and
+sampling are off unless something turns them on.
 
 :func:`observe` is the ambient switch: systems *built inside* the
 context pick up a freshly made sink and/or a sampler automatically.
@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Iterator, List, Optional, TYPE_CHECKING
 from contextlib import contextmanager
 
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import TraceBus, TraceSink
@@ -32,13 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class Observability:
     """The observation surface of one simulated platform."""
 
-    __slots__ = ("trace", "metrics", "sampler", "profiler")
+    __slots__ = ("trace", "metrics", "sampler")
 
     def __init__(self) -> None:
         self.trace = TraceBus()
         self.metrics = MetricsRegistry()
         self.sampler: Optional[TimeSeriesSampler] = None
-        self.profiler: Optional[PhaseProfiler] = None
 
     def enable_sampling(self, interval_ns: int) -> TimeSeriesSampler:
         """Install a time-series sampler (engine loops drive it)."""

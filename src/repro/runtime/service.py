@@ -212,8 +212,8 @@ def _worker_env() -> Dict[str, str]:
     ``repro``.
 
     The service may itself run via a script that inserted ``src/`` on
-    ``sys.path`` without exporting PYTHONPATH (the standalone bench
-    scripts do exactly that); ``python -m repro`` in the child would
+    ``sys.path`` without exporting PYTHONPATH (``perfbench/run.py`` does
+    exactly that); ``python -m repro`` in the child would
     then fail to import.  Prepending this package's parent directory
     keeps the child's interpreter pointed at the same code.
     """

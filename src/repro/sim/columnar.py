@@ -18,8 +18,8 @@ Columns:
 
 The object path stays the reference implementation: a batch converts
 losslessly to a list of :class:`MemoryRequest` via :meth:`to_requests`,
-which the differential tests (and the controller's traced/profiled slow
-path) use to pin bit-identical behaviour.
+which the differential tests use to pin bit-identical behaviour (and
+the scheduler's counted fallback uses to reach the object path).
 """
 
 from __future__ import annotations

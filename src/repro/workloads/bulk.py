@@ -32,10 +32,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Tuple
 
-try:  # numpy powers the bulk twins; without it runners stay scalar
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image ships numpy
-    _np = None
+import numpy as _np
 
 #: res53 constants from CPython's ``random_random``
 _RES53_HI = 67108864.0  # 2**26
@@ -43,11 +40,6 @@ _RES53_INV = 1.0 / 9007199254740992.0  # 2**-53
 
 #: kinds whose bulk twin is a counted per-element walk, not a vector op
 SCALAR_FALLBACK_KINDS = frozenset({"pointer_chase"})
-
-
-def bulk_generation_available() -> bool:
-    """Whether the columnar front end can vectorize generation at all."""
-    return _np is not None
 
 
 _SHARED_BIT_GENERATOR = None
@@ -134,7 +126,7 @@ class BulkGenerator:
 
     def one(self) -> Tuple[int, bool]:
         """One ``(line, is_write)`` access, exactly the scalar iterator's
-        next element (pure Python — works without numpy)."""
+        next element (pure Python, no array set-up)."""
         kind = self.kind
         total = self.total_lines
         if kind in ("sequential", "streaming_write"):
@@ -172,8 +164,6 @@ class BulkGenerator:
         """The next ``count`` accesses as ``(lines int64, writes int8)``."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        if _np is None:  # pragma: no cover - numpy ships with the image
-            raise RuntimeError("bulk generation requires numpy")
         kind = self.kind
         total = self.total_lines
         if kind in ("sequential", "streaming_write"):

@@ -24,13 +24,10 @@ from array import array as _array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.mc.controller import MemoryRequest
-from repro.workloads.bulk import BulkGenerator, bulk_generation_available
+import numpy as _np
 
-try:  # numpy backs the columnar front end; without it runners stay scalar
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image ships numpy
-    _np = None
+from repro.mc.controller import MemoryRequest
+from repro.workloads.bulk import BulkGenerator
 
 #: accesses generated/translated per chunk on the columnar front end —
 #: large enough to amortize the numpy kernel launches, small enough that
@@ -284,9 +281,6 @@ class WorkloadRunner:
         surfaces at exactly the faulting access with exactly the scalar
         path's partial TLB state (the generator, which draws whole
         chunks, may then have advanced past the faulting access).
-        Without numpy the pre-chunking scalar implementation
-        (:meth:`_run_columnar_scalar`) runs instead — same results,
-        object-free but per-access.
 
         A short final remainder (``accesses`` not a multiple of ``mlp``)
         is merged into the last full window rather than issued as its
@@ -300,8 +294,6 @@ class WorkloadRunner:
 
         if accesses < 1:
             raise ValueError("accesses must be >= 1")
-        if not bulk_generation_available():
-            return self._run_columnar_scalar(accesses, start_ns)
         system = self.system
         controller = system.controller
         submit_columnar = controller.submit_columnar
@@ -372,51 +364,6 @@ class WorkloadRunner:
                         now = done
                     start = end
             issued += chunk
-        self.stepped_accesses += issued
-        return WorkloadResult(
-            accesses=issued,
-            started_ns=start_ns,
-            finished_ns=now,
-            cache_hits=0,
-        )
-
-    def _run_columnar_scalar(
-        self, accesses: int, start_ns: int = 0
-    ) -> WorkloadResult:
-        """Pre-vectorization :meth:`run_columnar`: per-access generation
-        and translation filling reusable columns.  The no-numpy fallback
-        and the reference the differential suite pins the bulk front end
-        against."""
-        from repro.sim.columnar import ColumnarBatch
-
-        if accesses < 1:
-            raise ValueError("accesses must be >= 1")
-        submit_columnar = self.system.controller.submit_columnar
-        physical_line = self.handle.physical_line
-        asid = self.handle.asid
-        generator = self._generator
-        mlp = self.mlp
-        batch = ColumnarBatch()
-        line_col = batch.line
-        write_col = batch.is_write
-        time_col = batch.issue_ns
-        dom_col = batch.domain
-        now = start_ns
-        issued = 0
-        while issued < accesses:
-            remaining = accesses - issued
-            window = mlp if remaining >= 2 * mlp else remaining
-            batch.clear()
-            for _ in range(window):
-                vline, is_write = next(generator)
-                line_col.append(physical_line(vline))
-                write_col.append(1 if is_write else 0)
-                time_col.append(now)
-                dom_col.append(asid)
-            done = submit_columnar(batch)
-            if done > now:
-                now = done
-            issued += window
         self.stepped_accesses += issued
         return WorkloadResult(
             accesses=issued,
@@ -510,39 +457,11 @@ class SharedQueueRunner:
             issued += self.window
         return now
 
-    def step_columnar(self, now: int, batch) -> int:
-        """Issue one shared window through the columnar fast path.
-
-        Draws the same round-robin interleave as :meth:`step` — each
-        source's generator advances identically — but fills the caller's
-        reusable :class:`~repro.sim.columnar.ColumnarBatch` instead of
-        constructing request objects, then hands the window to
-        :meth:`~repro.mc.scheduler.BatchScheduler.issue_columnar`.
-        """
-        batch.clear()
-        line_col = batch.line
-        write_col = batch.is_write
-        time_col = batch.issue_ns
-        dom_col = batch.domain
-        sources = self.sources
-        count = len(sources)
-        for index in range(self.window):
-            source = sources[index % count]
-            vline, is_write = next(source._generator)
-            source.stepped_accesses += 1
-            line_col.append(source.handle.physical_line(vline))
-            write_col.append(1 if is_write else 0)
-            time_col.append(now)
-            dom_col.append(source.handle.asid)
-        done = self.scheduler.issue_columnar(batch)
-        self.steps += 1
-        return done if done > now else now
-
     def run_columnar(self, accesses: int, start_ns: int = 0) -> int:
         """Columnar twin of :meth:`run`: same windows, same finish time,
         serviced through the struct-of-arrays engine.
 
-        With numpy available the front end is bulk: each source's
+        The front end is bulk: each source's
         generator emits whole numpy columns
         (:class:`~repro.workloads.bulk.BulkGenerator`) for a chunk of
         windows at once, the MMU translates each source's column through
@@ -572,11 +491,6 @@ class SharedQueueRunner:
         batch = ColumnarBatch()
         now = start_ns
         issued = 0
-        if not bulk_generation_available():
-            while issued < accesses:
-                now = self.step_columnar(now, batch)
-                issued += self.window
-            return now
         system = self.system
         mmu = system.mmu
         controller = system.controller

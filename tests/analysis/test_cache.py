@@ -273,16 +273,3 @@ def test_replicate_cli_no_cache_flag(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert ResultCache(tmp_path).entries() == []
-
-
-def test_bench_refuses_unknown_baseline_label(tmp_path, capsys):
-    status = main([
-        "bench", "--quick", "--baseline-label", "no-such-label",
-        "-o", str(tmp_path / "traj.json"),
-    ])
-    captured = capsys.readouterr()
-    assert status == 2
-    assert "no trajectory entry labelled" in captured.err
-    assert "refusing to run" in captured.err
-    # upfront refusal: the bench never ran, so no entry was printed
-    assert "shapes" not in captured.out

@@ -85,16 +85,6 @@ class TestFactories:
         assert defense.name
 
 
-class TestBenchCommand:
-    def test_quick_bench_runs(self, capsys):
-        import json
-
-        assert main(["bench", "--quick", "--jobs", "2"]) == 0
-        entry = json.loads(capsys.readouterr().out)
-        assert set(entry["shapes"]) == {"streaming", "attack", "multi_tenant"}
-        assert entry["replication"]["identical"] is True
-
-
 class TestReplicateCommand:
     def test_replicate_e13(self, capsys):
         code = main([

@@ -11,14 +11,13 @@ scalar path's partial TLB state.
 
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.cache import LockError, SetAssociativeCache
 from repro.cpu.mmu import Mmu, TranslationError
-
-numpy = pytest.importorskip("numpy")
 
 LINES_PER_PAGE = 8
 TLB_ENTRIES = 4  # tiny: evictions happen constantly

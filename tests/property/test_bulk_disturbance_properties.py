@@ -126,9 +126,9 @@ def test_bulk_matches_scalar_flip_for_flip(case):
 @given(case=bulk_case())
 @settings(max_examples=25, deadline=None)
 def test_small_batch_scalar_twin_matches(case):
-    """Below the numpy cutoff the bulk API runs its scalar twin; the
-    equivalence must hold there too (it is the path numpy-less installs
-    always take)."""
+    """Below ``_BULK_MIN_ACTS`` the bulk API runs its scalar twin; the
+    equivalence must hold there too (it is the small-batch path every
+    short flush segment takes)."""
     geometry, profile, sequence, chunk = case
     saved = disturbance_mod._BULK_MIN_ACTS
     disturbance_mod._BULK_MIN_ACTS = 10 ** 9  # force the scalar twin

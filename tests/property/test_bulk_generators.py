@@ -11,21 +11,15 @@ exactly where a cursor or a stream offset is easiest to lose.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.bulk import (
     SCALAR_FALLBACK_KINDS,
     BulkGenerator,
-    bulk_generation_available,
     uniform_block,
 )
 from repro.workloads.generators import GENERATOR_NAMES, make_generator
-
-pytestmark = pytest.mark.skipif(
-    not bulk_generation_available(), reason="numpy not available"
-)
 
 KINDS = sorted(GENERATOR_NAMES)
 
